@@ -5,7 +5,10 @@
 #                      packages (pregel engine + sharded serving layer)
 #   make vet         — go vet ./...
 #   make lint        — gofmt -l (fails on unformatted files) + go vet
-#   make check       — vet + test + test-race (what CI enforces on push/PR)
+#   make check       — vet + test + test-race + perfbench (what CI enforces
+#                      on push/PR)
+#   make perfbench   — go vet + go test inside the nested perfbench module,
+#                      which the root ./... patterns never reach
 #   make bench       — vet + tier-1 + race + BenchmarkSpinnerIteration
 #                      (-benchmem, -count=5), recorded into BENCH_pr1.json
 #   make bench-serve — same gate but BenchmarkServeLookupUnderChurn,
@@ -83,9 +86,9 @@
 # Replication (internal/replica) streams the leader's journal to warm-
 # standby followers that replay it through the same apply path and serve
 # staleness-bounded reads; /promote fences the old leader by epoch.
-# The serving HTTP surface lives in internal/api (versioned /v1 routes +
-# legacy aliases, typed Go client under internal/api/client, /v1/watch
-# change feed); cmd/spinnerctl is the CLI companion built on the client.
+# The serving HTTP surface lives in internal/api (every route under /v1,
+# typed Go client under internal/api/client, /v1/watch change feed; both
+# binary streams share the internal/frame CRC framing); cmd/spinnerctl is the CLI companion built on the client.
 # Observability (internal/metrics) is a dependency-free metrics plane:
 # lock-free log-linear latency histograms and gauges in a registry,
 # pipeline-stage timing seams in serve/wal, sampled lookup timing, and a
@@ -96,11 +99,11 @@
 # Go version pinned in go.mod, and uploads BENCH_pr4.json through
 # BENCH_pr9.json as workflow artifacts.
 
-.PHONY: all check build vet lint test test-race bench bench-serve bench-mutate bench-durable bench-fairness bench-replica bench-delta bench-metrics bench-watch bench-quick recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race perfbench bench bench-serve bench-mutate bench-durable bench-fairness bench-replica bench-delta bench-metrics bench-watch bench-quick recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 all: check
 
-check: vet test test-race
+check: vet test test-race perfbench
 
 build:
 	go build ./...
@@ -121,6 +124,9 @@ test:
 
 test-race:
 	go test -race ./internal/pregel/ ./internal/serve/ ./internal/wal/ ./internal/replica/ ./internal/metrics/ ./internal/api/
+
+perfbench:
+	cd perfbench && go vet ./... && go test ./...
 
 bench:
 	./scripts/bench.sh -l current -o BENCH_pr1.json

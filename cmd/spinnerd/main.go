@@ -92,7 +92,7 @@
 // X-Replica-Epoch and X-Checkpoint-Seq headers) and then tail
 // GET /v1/replicate?after_seq=N&epoch=E — a chunked stream of the
 // journal's own CRC-framed records wrapped in epoch-stamped stream
-// frames (internal/replica). While a follower is connected the leader
+// frames (framing in internal/frame, payloads in internal/replica). While a follower is connected the leader
 // pins journal retention at the lowest sequence any follower still
 // needs, so checkpoint truncation never races the stream; 409 means the
 // epoch is stale (fenced), 410 means the journal no longer holds
@@ -155,10 +155,11 @@
 //
 // # HTTP API (v1)
 //
-// Every endpoint lives under /v1/; the pre-versioning paths (/lookup,
+// Every endpoint lives under /v1/. The pre-versioning aliases (/lookup,
 // /mutate, /resize, /stats, /healthz, /replicate, /replicate/checkpoint,
-// /promote) remain as aliases with identical shapes. Success responses
-// are JSON; error responses are JSON too, shaped {"error": msg} with the
+// /promote) are gone and answer 404: scripts and followers must use the
+// /v1 paths (a follower of this version tails /v1/replicate, so it
+// cannot follow a leader that predates /v1). Success responses are JSON; error responses are JSON too, shaped {"error": msg} with the
 // status carrying the class (400 malformed, 404 unknown vertex, 409
 // conflict, 410 gone, 429 quota/backpressure, 503 overload/fault/
 // shutdown). Machine-actionable rejections add a stable "code" field
@@ -177,8 +178,7 @@
 //	                         follower lagging past -max-staleness
 //	GET  /v1/lookup        → 200 {"k":K,"vertices":N,"labels":[...],"from_seq":S}
 //	                         (no v parameter: the full map + the watch cursor to resume
-//	                         the change feed from — the resync path after a 410; the
-//	                         legacy /lookup alias keeps answering 400 here)
+//	                         the change feed from — the resync path after a 410)
 //	POST /v1/mutate        → 202 {"queued":true,"adds":A,"removes":R,"vertices":N}
 //	                         400 {"error":"line L: ..."}
 //	                         429 {"error":...,"code":"quota_exceeded"|"log_full"} + Retry-After
@@ -201,7 +201,8 @@
 //	                         replication_error, replica_epoch; last_error after a fault)
 //	GET  /v1/watch?from_seq=N[&limit=M]
 //	                       → 200 chunked application/octet-stream of CRC frames
-//	                         (u8 kind | u32 len | u32 crc | payload): a handshake
+//	                         (internal/frame: u8 kind | u32 len | u32 crc |
+//	                         payload; kinds and payloads in serve/frame.go): a handshake
 //	                         frame (floor+next), then one frame per delta record
 //	                         from sequence N+1 on, with heartbeat frames while
 //	                         idle. from_seq names the last delta the consumer has
@@ -232,7 +233,6 @@
 //	                         not running with -follow
 //	GET  /v1/metrics       → 200 Prometheus text exposition (version 0.0.4,
 //	                         Content-Type text/plain) of every metric below.
-//	                         New surface; no legacy alias.
 //
 // The typed Go client for this surface is internal/api/client; the
 // spinnerctl command wraps it for shell use (spinnerctl metrics

@@ -1,11 +1,10 @@
 // Package api is spinnerd's versioned HTTP surface: every endpoint lives
-// under /v1/ with the pre-versioning paths kept as aliases, success and
-// error bodies are both JSON (errors share one envelope —
-// {"error": msg, "code": c} with the status carrying the class and a
-// Retry-After header wherever a backoff hint exists), and the change
-// feed (/v1/watch) streams the store's delta records as CRC-checked
-// binary frames. See the spinnerd command doc for the route reference;
-// the typed Go client lives in api/client.
+// under /v1/, success and error bodies are both JSON (errors share one
+// envelope — {"error": msg, "code": c} with the status carrying the
+// class and a Retry-After header wherever a backoff hint exists), and
+// the change feed (/v1/watch) streams the store's delta records as
+// CRC-checked binary frames (internal/frame). See the spinnerd command
+// doc for the route reference; the typed Go client lives in api/client.
 package api
 
 import (
@@ -86,32 +85,24 @@ func NewServer(st *serve.Store, rep *Replica) *Server {
 		)}
 }
 
-// Mux builds the route table: every endpoint under /v1/ plus the legacy
-// unversioned aliases the pre-/v1 daemon exposed (same handlers, same
-// shapes — existing scripts and followers keep working). /v1/watch is
-// new surface and has no legacy alias.
-// Every route is wrapped by the latency middleware (middleware.go);
-// /v1/watch and the replication stream record time-to-first-byte.
-// /v1/metrics and /v1/watch are new surface and have no legacy alias.
+// Mux builds the route table: every endpoint under /v1/, each wrapped by
+// the latency middleware (middleware.go); /v1/watch and the replication
+// stream record time-to-first-byte.
 func (s *Server) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	route := func(pattern, name string, h http.HandlerFunc) {
-		method, path, _ := strings.Cut(pattern, " ")
-		wrapped := s.instrument(name, false, h)
-		mux.HandleFunc(method+" /v1"+path, wrapped)
-		mux.HandleFunc(pattern, wrapped)
+		mux.HandleFunc(pattern, s.instrument(name, false, h))
 	}
-	route("GET /healthz", "healthz", s.handleHealthz)
-	route("GET /lookup", "lookup", s.handleLookup)
-	route("POST /mutate", "mutate", s.handleMutate)
-	route("POST /resize", "resize", s.handleResize)
-	route("GET /stats", "stats", s.handleStats)
+	route("GET /v1/healthz", "healthz", s.handleHealthz)
+	route("GET /v1/lookup", "lookup", s.handleLookup)
+	route("POST /v1/mutate", "mutate", s.handleMutate)
+	route("POST /v1/resize", "resize", s.handleResize)
+	route("GET /v1/stats", "stats", s.handleStats)
 	mux.HandleFunc("GET /v1/replicate", s.instrument("replicate", true, s.handleReplicate))
-	mux.HandleFunc("GET /replicate", s.instrument("replicate", true, s.handleReplicate))
-	route("GET /replicate/checkpoint", "replicate_checkpoint", s.handleReplicateCheckpoint)
-	route("POST /promote", "promote", s.handlePromote)
+	route("GET /v1/replicate/checkpoint", "replicate_checkpoint", s.handleReplicateCheckpoint)
+	route("POST /v1/promote", "promote", s.handlePromote)
 	mux.HandleFunc("GET /v1/watch", s.instrument("watch", true, s.handleWatch))
-	mux.HandleFunc("GET /v1/metrics", s.instrument("metrics", false, s.handleMetrics))
+	route("GET /v1/metrics", "metrics", s.handleMetrics)
 	return mux
 }
 
@@ -157,10 +148,9 @@ type ResyncResponse struct {
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	raw := q.Get("v")
-	if !q.Has("v") && strings.HasPrefix(r.URL.Path, "/v1/") {
+	if !q.Has("v") {
 		// Full resync for change-feed consumers that fell past the
-		// compaction floor. Only on the /v1 path: the legacy /lookup
-		// contract keeps answering 400 here.
+		// compaction floor.
 		if !s.checkStaleness(w) {
 			return
 		}

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -50,97 +51,96 @@ func testServer(t *testing.T, st *serve.Store) *httptest.Server {
 	return srv
 }
 
-// prefixes parametrizes route tests over the versioned path and its
-// legacy alias — both must serve identical shapes.
-var prefixes = []string{"/v1", ""}
-
 func TestHTTPLookupAndStats(t *testing.T) {
 	st := testStore(t, 4)
 	srv := testServer(t, st)
 
-	for _, prefix := range prefixes {
-		resp, err := http.Get(srv.URL + prefix + "/lookup?v=5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s/lookup status %d", prefix, resp.StatusCode)
-		}
-		var body LookupResponse
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if body.Vertex != 5 || body.Partition < 0 || int(body.Partition) >= body.K {
-			t.Fatalf("%s/lookup body %+v", prefix, body)
-		}
+	resp, err := http.Get(srv.URL + "/v1/lookup?v=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/lookup status %d", resp.StatusCode)
+	}
+	var body LookupResponse
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body.Vertex != 5 || body.Partition < 0 || int(body.Partition) >= body.K {
+		t.Fatalf("/v1/lookup body %+v", body)
+	}
 
-		for _, bad := range []string{"/lookup?v=abc", "/lookup?v="} {
-			r, err := http.Get(srv.URL + prefix + bad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Body.Close()
-			if r.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s%s status %d, want 400", prefix, bad, r.StatusCode)
-			}
+	for _, bad := range []string{"/lookup?v=abc", "/lookup?v="} {
+		r, err := http.Get(srv.URL + "/v1" + bad)
+		if err != nil {
+			t.Fatal(err)
 		}
-		r, err := http.Get(srv.URL + prefix + "/lookup?v=100000")
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("/v1%s status %d, want 400", bad, r.StatusCode)
+		}
+	}
+	r, err := http.Get(srv.URL + "/v1/lookup?v=100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1 missing vertex status %d, want 404", r.StatusCode)
+	}
+
+	r, err = http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats StatsResponse
+	err = json.NewDecoder(r.Body).Decode(&stats)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Vertices != 600 || stats.K != 4 {
+		t.Fatalf("/v1/stats %+v", stats)
+	}
+	if stats.DeltaFloor < 1 || stats.DeltaNext <= stats.DeltaFloor {
+		t.Fatalf("/v1/stats delta bounds [%d, %d)", stats.DeltaFloor, stats.DeltaNext)
+	}
+
+	r, err = http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health HealthResponse
+	err = json.NewDecoder(r.Body).Decode(&health)
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK || err != nil || health.Status != "ok" {
+		t.Fatalf("/v1/healthz status %d body %+v err %v", r.StatusCode, health, err)
+	}
+}
+
+// Every endpoint lives under /v1 only: the pre-versioning paths are gone.
+func TestUnversionedRoutesGone(t *testing.T) {
+	srv := testServer(t, testStore(t, 4))
+	for _, path := range []string{"/healthz", "/lookup?v=5", "/stats", "/replicate?after_seq=0", "/replicate/checkpoint"} {
+		r, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
 		if r.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s missing vertex status %d, want 404", prefix, r.StatusCode)
-		}
-
-		r, err = http.Get(srv.URL + prefix + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats StatsResponse
-		err = json.NewDecoder(r.Body).Decode(&stats)
-		r.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Vertices != 600 || stats.K != 4 {
-			t.Fatalf("%s/stats %+v", prefix, stats)
-		}
-		if stats.DeltaFloor < 1 || stats.DeltaNext <= stats.DeltaFloor {
-			t.Fatalf("%s/stats delta bounds [%d, %d)", prefix, stats.DeltaFloor, stats.DeltaNext)
-		}
-
-		r, err = http.Get(srv.URL + prefix + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var health HealthResponse
-		err = json.NewDecoder(r.Body).Decode(&health)
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK || err != nil || health.Status != "ok" {
-			t.Fatalf("%s/healthz status %d body %+v err %v", prefix, r.StatusCode, health, err)
+			t.Fatalf("GET %s status %d, want 404", path, r.StatusCode)
 		}
 	}
 }
 
-// The bare /v1/lookup (no v) is the full-resync dump; the legacy alias
-// keeps its original 400 contract there.
+// The bare /v1/lookup (no v) is the full-resync dump.
 func TestLookupResync(t *testing.T) {
 	st := testStore(t, 4)
 	srv := testServer(t, st)
 
-	r, err := http.Get(srv.URL + "/lookup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("legacy bare /lookup status %d, want 400", r.StatusCode)
-	}
-
-	r, err = http.Get(srv.URL + "/v1/lookup")
+	r, err := http.Get(srv.URL + "/v1/lookup")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,25 +206,23 @@ func TestHTTPMutateAndResize(t *testing.T) {
 		t.Fatalf("k after resize = %d, want 6", got)
 	}
 
-	for _, prefix := range prefixes {
-		for _, bad := range []string{"/resize", "/resize?k=0", "/resize?k=x"} {
-			r, err := http.Post(srv.URL+prefix+bad, "text/plain", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Body.Close()
-			if r.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s%s status %d, want 400", prefix, bad, r.StatusCode)
-			}
-		}
-		r, err := http.Post(srv.URL+prefix+"/mutate", "text/plain", strings.NewReader("bogus 1 2\n"))
+	for _, bad := range []string{"/resize", "/resize?k=0", "/resize?k=x"} {
+		r, err := http.Post(srv.URL+"/v1"+bad, "text/plain", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
 		if r.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s bad mutate status %d, want 400", prefix, r.StatusCode)
+			t.Fatalf("/v1%s status %d, want 400", bad, r.StatusCode)
 		}
+	}
+	r, err := http.Post(srv.URL+"/v1/mutate", "text/plain", strings.NewReader("bogus 1 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/v1 bad mutate status %d, want 400", r.StatusCode)
 	}
 }
 
@@ -283,23 +281,18 @@ func TestHTTPErrorPathsLeaveStoreUntouched(t *testing.T) {
 		{"GET", "/watch?from_seq=junk", "", http.StatusBadRequest},
 		{"GET", "/watch?limit=-2", "", http.StatusBadRequest},
 	}
-	for _, prefix := range prefixes {
-		for _, tc := range cases {
-			if strings.HasPrefix(tc.path, "/watch") && prefix == "" {
-				continue // /watch has no legacy alias
-			}
-			req, err := http.NewRequest(tc.method, srv.URL+prefix+tc.path, strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.wantStatus {
-				t.Fatalf("%s %s%s: status %d, want %d", tc.method, prefix, tc.path, resp.StatusCode, tc.wantStatus)
-			}
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, srv.URL+"/v1"+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.wantStatus {
+			t.Fatalf("%s /v1%s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
 		}
 	}
 
@@ -339,29 +332,27 @@ func TestHTTPBodiesAreJSON(t *testing.T) {
 		{"POST", "/promote", "", true},    // not a follower
 		{"GET", "/replicate", "", true},   // not durable
 	}
-	for _, prefix := range prefixes {
-		for _, tc := range cases {
-			req, err := http.NewRequest(tc.method, srv.URL+prefix+tc.path, strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Fatalf("%s %s%s: Content-Type %q", tc.method, prefix, tc.path, ct)
-			}
-			if !tc.wantErr {
-				resp.Body.Close()
-				continue
-			}
-			var body ErrorBody
-			err = json.NewDecoder(resp.Body).Decode(&body)
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, srv.URL+"/v1"+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s /v1%s: Content-Type %q", tc.method, tc.path, ct)
+		}
+		if !tc.wantErr {
 			resp.Body.Close()
-			if err != nil || body.Error == "" {
-				t.Fatalf("%s %s%s: error body not {\"error\": msg}: %v", tc.method, prefix, tc.path, err)
-			}
+			continue
+		}
+		var body ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || body.Error == "" {
+			t.Fatalf("%s /v1%s: error body not {\"error\": msg}: %v", tc.method, tc.path, err)
 		}
 	}
 }
@@ -527,20 +518,18 @@ func TestHTTPDegradedAfterStorageFault(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	for _, prefix := range prefixes {
-		resp, err := http.Get(srv.URL + prefix + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("degraded %s/healthz status %d, want 503", prefix, resp.StatusCode)
-		}
-		var health HealthResponse
-		err = json.NewDecoder(resp.Body).Decode(&health)
-		resp.Body.Close()
-		if err != nil || health.Status != "degraded" {
-			t.Fatalf("%s/healthz body status = %q, err %v; want degraded", prefix, health.Status, err)
-		}
+	resp, err := http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("degraded /v1/healthz status %d, want 503", resp.StatusCode)
+	}
+	var health HealthResponse
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil || health.Status != "degraded" {
+		t.Fatalf("/v1/healthz body status = %q, err %v; want degraded", health.Status, err)
 	}
 
 	for _, tc := range []struct{ path, body string }{
@@ -610,7 +599,7 @@ func TestHTTPStatsDurabilityFields(t *testing.T) {
 }
 
 // readWatch drains one finite watch stream (limit set) into frames.
-func readWatch(t *testing.T, url string) (WatchFrame, []*serve.Delta) {
+func readWatch(t *testing.T, url string) (serve.WatchFrame, []*serve.Delta) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -627,24 +616,24 @@ func readWatch(t *testing.T, url string) (WatchFrame, []*serve.Delta) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var handshake WatchFrame
+	var handshake serve.WatchFrame
 	var deltas []*serve.Delta
 	first := true
 	for len(raw) > 0 {
-		f, n, err := DecodeWatchFrame(raw)
+		f, n, err := serve.DecodeWatchFrame(raw)
 		if err != nil {
 			t.Fatalf("decode frame: %v", err)
 		}
 		raw = raw[n:]
 		if first {
-			if f.Kind != WatchHandshake {
+			if f.Kind != serve.WatchHandshake {
 				t.Fatalf("first frame kind %d, want handshake", f.Kind)
 			}
 			handshake = f
 			first = false
 			continue
 		}
-		if f.Kind == WatchDelta {
+		if f.Kind == serve.WatchDelta {
 			d, err := serve.DecodeDelta(f.Delta)
 			if err != nil {
 				t.Fatal(err)
@@ -869,7 +858,13 @@ func TestWatchHeartbeat(t *testing.T) {
 	defer srv.Close()
 
 	floor, next := st.DeltaBounds()
-	resp, err := http.Get(srv.URL + "/v1/watch?from_seq=" + strconv.FormatUint(next-1, 10))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/watch?from_seq="+strconv.FormatUint(next-1, 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -878,31 +873,16 @@ func TestWatchHeartbeat(t *testing.T) {
 		t.Fatalf("watch status %d", resp.StatusCode)
 	}
 	// Read the handshake and then at least one heartbeat.
-	buf := make([]byte, 0, 256)
-	chunk := make([]byte, 64)
-	var frames []WatchFrame
-	deadline := time.Now().Add(5 * time.Second)
+	rd := serve.NewWatchReader(resp.Body)
+	var frames []serve.WatchFrame
 	for len(frames) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("no heartbeat within 5s")
+		f, err := rd.Next()
+		if err != nil {
+			t.Fatalf("no heartbeat within 5s: %v (frames %d)", err, len(frames))
 		}
-		n, rerr := resp.Body.Read(chunk)
-		if n > 0 {
-			buf = append(buf, chunk[:n]...)
-			for {
-				f, used, derr := DecodeWatchFrame(buf)
-				if derr != nil {
-					break
-				}
-				frames = append(frames, f)
-				buf = buf[used:]
-			}
-		}
-		if rerr != nil {
-			t.Fatalf("stream ended early: %v (frames %d)", rerr, len(frames))
-		}
+		frames = append(frames, f)
 	}
-	if frames[0].Kind != WatchHandshake || frames[1].Kind != WatchHeartbeat {
+	if frames[0].Kind != serve.WatchHandshake || frames[1].Kind != serve.WatchHeartbeat {
 		t.Fatalf("frame kinds %d, %d; want handshake, heartbeat", frames[0].Kind, frames[1].Kind)
 	}
 	if frames[1].Floor != floor || frames[1].Next != next {
@@ -911,13 +891,13 @@ func TestWatchHeartbeat(t *testing.T) {
 }
 
 func FuzzWatchFrame(f *testing.F) {
-	f.Add(AppendWatchFrame(nil, WatchFrame{Kind: WatchHandshake, Floor: 1, Next: 9}))
-	f.Add(AppendWatchFrame(nil, WatchFrame{Kind: WatchHeartbeat, Floor: 3, Next: 12}))
-	f.Add(AppendWatchFrame(nil, WatchFrame{Kind: WatchDelta, Delta: []byte{1, 2, 3, 4, 5}}))
+	f.Add(serve.AppendWatchFrame(nil, serve.WatchFrame{Kind: serve.WatchHandshake, Floor: 1, Next: 9}))
+	f.Add(serve.AppendWatchFrame(nil, serve.WatchFrame{Kind: serve.WatchHeartbeat, Floor: 3, Next: 12}))
+	f.Add(serve.AppendWatchFrame(nil, serve.WatchFrame{Kind: serve.WatchDelta, Delta: []byte{1, 2, 3, 4, 5}}))
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		frame, n, err := DecodeWatchFrame(b)
+		frame, n, err := serve.DecodeWatchFrame(b)
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("error with %d bytes consumed", n)
@@ -929,14 +909,14 @@ func FuzzWatchFrame(f *testing.F) {
 		}
 		// Round-trip: re-encoding the decoded frame must reproduce the
 		// consumed bytes exactly.
-		enc := AppendWatchFrame(nil, frame)
+		enc := serve.AppendWatchFrame(nil, frame)
 		if !bytes.Equal(enc, b[:n]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, b[:n])
 		}
 		// Truncation: every strict prefix must be a short frame, never a
 		// misparse.
 		for cut := 0; cut < n; cut += 1 + cut/3 {
-			if _, _, err := DecodeWatchFrame(b[:cut]); err == nil {
+			if _, _, err := serve.DecodeWatchFrame(b[:cut]); err == nil {
 				t.Fatalf("truncated frame (%d of %d bytes) decoded", cut, n)
 			}
 		}

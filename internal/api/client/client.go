@@ -7,7 +7,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -234,8 +233,7 @@ type Event struct {
 // Watcher consumes one /v1/watch stream. Not safe for concurrent use.
 type Watcher struct {
 	resp  *http.Response
-	br    *bufio.Reader
-	buf   []byte
+	rd    *serve.WatchReader
 	floor uint64
 	next  uint64
 }
@@ -259,13 +257,13 @@ func (c *Client) Watch(ctx context.Context, fromSeq uint64) (*Watcher, error) {
 		defer resp.Body.Close()
 		return nil, decodeError(resp)
 	}
-	w := &Watcher{resp: resp, br: bufio.NewReader(resp.Body)}
-	f, err := w.readFrame()
+	w := &Watcher{resp: resp, rd: serve.NewWatchReader(resp.Body)}
+	f, err := w.rd.Next()
 	if err != nil {
 		w.Close()
 		return nil, err
 	}
-	if f.Kind != api.WatchHandshake {
+	if f.Kind != serve.WatchHandshake {
 		w.Close()
 		return nil, fmt.Errorf("client: watch stream opened with frame kind %d, want handshake", f.Kind)
 	}
@@ -281,32 +279,6 @@ func (w *Watcher) Floor() uint64 { return w.floor }
 // of the last handshake or heartbeat.
 func (w *Watcher) Next() uint64 { return w.next }
 
-// readFrame blocks until one full frame is buffered and decodes it.
-func (w *Watcher) readFrame() (api.WatchFrame, error) {
-	for {
-		f, n, err := api.DecodeWatchFrame(w.buf)
-		if err == nil {
-			w.buf = w.buf[n:]
-			return f, nil
-		}
-		if !errors.Is(err, api.ErrShortFrame) {
-			return api.WatchFrame{}, err
-		}
-		chunk := make([]byte, 4096)
-		m, rerr := w.br.Read(chunk)
-		if m > 0 {
-			w.buf = append(w.buf, chunk[:m]...)
-			continue
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) && len(w.buf) > 0 {
-				return api.WatchFrame{}, io.ErrUnexpectedEOF
-			}
-			return api.WatchFrame{}, rerr
-		}
-	}
-}
-
 // Recv blocks for the next event: a delta record, or a heartbeat with
 // Delta nil. io.EOF means the server closed the stream (limit reached
 // or shutdown — a plain connection end, safe to re-Watch from the same
@@ -315,12 +287,12 @@ func (w *Watcher) readFrame() (api.WatchFrame, error) {
 // the event carrying the server's new bounds): full-resync via
 // LookupAll, like a 410 on Watch.
 func (w *Watcher) Recv() (Event, error) {
-	f, err := w.readFrame()
+	f, err := w.rd.Next()
 	if err != nil {
 		return Event{}, err
 	}
 	switch f.Kind {
-	case api.WatchDelta:
+	case serve.WatchDelta:
 		d, err := serve.DecodeDelta(f.Delta)
 		if err != nil {
 			return Event{}, err
@@ -329,10 +301,10 @@ func (w *Watcher) Recv() (Event, error) {
 			w.next = d.Seq + 1
 		}
 		return Event{Delta: d, Floor: w.floor, Next: w.next}, nil
-	case api.WatchHeartbeat:
+	case serve.WatchHeartbeat:
 		w.floor, w.next = f.Floor, f.Next
 		return Event{Floor: w.floor, Next: w.next}, nil
-	case api.WatchEnd:
+	case serve.WatchEnd:
 		w.floor, w.next = f.Floor, f.Next
 		return Event{Floor: w.floor, Next: w.next},
 			fmt.Errorf("client: cursor compacted away mid-stream (floor now %d): %w", f.Floor, ErrCompacted)

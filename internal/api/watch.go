@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // watchBatch bounds the deltas fetched (and written) per iteration so a
@@ -42,7 +44,7 @@ var watchBufPool = sync.Pool{
 // sequence, i.e. minted by a previous server incarnation); both mean
 // "full resync via /v1/lookup, then re-watch from the returned
 // from_seq". A cursor that compaction overruns mid-stream gets a final
-// WatchEnd frame carrying the new floor, so the consumer can tell
+// serve.WatchEnd frame carrying the new floor, so the consumer can tell
 // "fell behind, resync" from a dropped connection.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -106,7 +108,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Delta-Floor", strconv.FormatUint(floor, 10))
 	w.Header().Set("X-Delta-Next", strconv.FormatUint(next, 10))
 	w.WriteHeader(http.StatusOK)
-	buf = AppendWatchFrame(buf, WatchFrame{Kind: WatchHandshake, Floor: floor, Next: next})
+	buf = serve.AppendWatchFrame(buf, serve.WatchFrame{Kind: serve.WatchHandshake, Floor: floor, Next: next})
 	if _, err := w.Write(buf); err != nil {
 		return
 	}
@@ -117,7 +119,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}
-	hb := newHeartbeatTimer()
+	// Go 1.23+ timers (go.mod declares 1.24) discard a pending tick on
+	// Stop and Reset, so re-arming never sees a stale expiry.
+	hb := time.NewTimer(heartbeat)
 	defer hb.Stop()
 	ctx := r.Context()
 	sent := 0
@@ -131,7 +135,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 				// "resync required" from a dropped connection — then end
 				// the stream; the /v1/lookup resync path takes over.
 				f, n := s.feed.DeltaBounds()
-				buf = AppendWatchFrame(buf[:0], WatchFrame{Kind: WatchEnd, Floor: f, Next: n})
+				buf = serve.AppendWatchFrame(buf[:0], serve.WatchFrame{Kind: serve.WatchEnd, Floor: f, Next: n})
 				if _, err := w.Write(buf); err != nil {
 					return
 				}
@@ -165,22 +169,21 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		// A wakeup that raced the ring read is already pending: loop
 		// straight back to the read without re-arming the heartbeat
-		// timer (arming costs a stop/drain/reset; skipping it matters at
-		// publication rates where the slot is almost always full).
+		// timer (skipping the Reset matters at publication rates where
+		// the slot is almost always full).
 		select {
 		case <-sub.C():
 			continue
 		default:
 		}
-		hb.Arm(heartbeat)
+		hb.Reset(heartbeat)
 		select {
 		case <-ctx.Done():
 			return
 		case <-sub.C():
-		case <-hb.C():
-			hb.Fired()
+		case <-hb.C:
 			f, n := s.feed.DeltaBounds()
-			buf = AppendWatchFrame(buf[:0], WatchFrame{Kind: WatchHeartbeat, Floor: f, Next: n})
+			buf = serve.AppendWatchFrame(buf[:0], serve.WatchFrame{Kind: serve.WatchHeartbeat, Floor: f, Next: n})
 			if _, err := w.Write(buf); err != nil {
 				return
 			}

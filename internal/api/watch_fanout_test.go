@@ -70,12 +70,12 @@ func TestWatchManyConcurrentStreamsBitIdentical(t *testing.T) {
 				return
 			}
 			for len(raw) > 0 {
-				f, n, err := DecodeWatchFrame(raw)
+				f, n, err := serve.DecodeWatchFrame(raw)
 				if err != nil {
 					results[i].err = err
 					return
 				}
-				if f.Kind == WatchDelta {
+				if f.Kind == serve.WatchDelta {
 					results[i].deltaBytes = append(results[i].deltaBytes, raw[:n]...)
 					d, err := serve.DecodeDelta(f.Delta)
 					if err != nil {
@@ -189,19 +189,19 @@ func TestWatchMidStreamCompactionEndFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kinds []byte
-	var end WatchFrame
+	var end serve.WatchFrame
 	for len(raw) > 0 {
-		f, n, err := DecodeWatchFrame(raw)
+		f, n, err := serve.DecodeWatchFrame(raw)
 		if err != nil {
 			t.Fatalf("decode: %v (kinds so far %v)", err, kinds)
 		}
 		kinds = append(kinds, f.Kind)
-		if f.Kind == WatchEnd {
+		if f.Kind == serve.WatchEnd {
 			end = f
 		}
 		raw = raw[n:]
 	}
-	if len(kinds) != 2 || kinds[0] != WatchHandshake || kinds[1] != WatchEnd {
+	if len(kinds) != 2 || kinds[0] != serve.WatchHandshake || kinds[1] != serve.WatchEnd {
 		t.Fatalf("frame kinds = %v, want [handshake end]", kinds)
 	}
 	floor, next := st.DeltaBounds()

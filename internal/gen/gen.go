@@ -27,6 +27,7 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -85,17 +86,19 @@ func BarabasiAlbert(n, m int, seed uint64) *graph.Graph {
 		g.AddEdge(graph.VertexID(u), graph.VertexID(v))
 		targets = append(targets, graph.VertexID(u), graph.VertexID(v))
 	}
-	chosen := make(map[graph.VertexID]struct{}, m)
+	// chosen keeps the distinct draws in draw order, so the edge order and
+	// the targets pool depend on the seed alone.
+	chosen := make([]graph.VertexID, 0, m)
 	for u := m + 1; u < n; u++ {
-		clear(chosen)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			v := targets[src.Intn(len(targets))]
-			if int(v) == u {
+			if int(v) == u || slices.Contains(chosen, v) {
 				continue
 			}
-			chosen[v] = struct{}{}
+			chosen = append(chosen, v)
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			g.AddEdge(graph.VertexID(u), v)
 			targets = append(targets, graph.VertexID(u), v)
 		}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -91,6 +92,19 @@ func TestBarabasiAlbertHubs(t *testing.T) {
 	mean := float64(sum) / 5000
 	if float64(maxIn) < 20*mean {
 		t.Fatalf("max in-degree %d not hub-like (mean %.1f)", maxIn, mean)
+	}
+}
+
+// One seed must give one graph, edge for edge and in the same order.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	edges := func() (out [][2]graph.VertexID) {
+		BarabasiAlbert(2000, 8, 42).Edges(func(u, v graph.VertexID) {
+			out = append(out, [2]graph.VertexID{u, v})
+		})
+		return out
+	}
+	if a, b := edges(), edges(); !slices.Equal(a, b) {
+		t.Fatalf("same seed produced different edge lists (%d vs %d edges)", len(a), len(b))
 	}
 }
 

@@ -4,8 +4,9 @@ package replica
 // bootstrap leader starts at epoch 1; /promote seals the follower's
 // applied journal position into epoch+1 and persists it BEFORE the node
 // starts accepting writes, so a restart of a promoted node keeps fencing
-// the deposed leader's stream. The file is one fixed-size record written
-// atomically (tmp + fsync + rename), mirroring wal.WriteCheckpoint.
+// the deposed leader's stream. The file is one fixed-size record
+// installed with wal.WriteFileAtomic (tmp + fsync + rename + directory
+// fsync), so a sealed epoch survives power loss.
 
 import (
 	"encoding/binary"
@@ -14,6 +15,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wal"
 )
 
 const (
@@ -21,6 +24,8 @@ const (
 	epochMagic = 0x53505245 // "SPRE"
 	epochSize  = 4 + 8 + 8 + 4
 )
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Epoch is the persisted leadership record.
 type Epoch struct {
@@ -39,29 +44,7 @@ func SaveEpoch(dir string, e Epoch) error {
 	binary.LittleEndian.PutUint64(buf[4:], e.Epoch)
 	binary.LittleEndian.PutUint64(buf[12:], e.SealedSeq)
 	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(buf[:20], crcTable))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, epochFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf[:]); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, epochFile))
+	return wal.WriteFileAtomic(dir, epochFile, buf[:])
 }
 
 // LoadEpoch reads the epoch record from dir. ok=false (with a nil error)

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/wal"
@@ -144,7 +145,7 @@ func normalizeLeader(addr string) string {
 // bootstrap installs the leader's latest checkpoint (and its epoch) into
 // the follower's empty data dir.
 func (f *Follower) bootstrap() error {
-	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, f.cfg.Leader+"/replicate/checkpoint", nil)
+	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, f.cfg.Leader+"/v1/replicate/checkpoint", nil)
 	if err != nil {
 		return err
 	}
@@ -209,12 +210,12 @@ func (f *Follower) run() {
 	}
 }
 
-// streamOnce opens one /replicate stream at the applied position and
+// streamOnce opens one /v1/replicate stream at the applied position and
 // applies frames until the connection drops. A partial frame at the end
 // of the connection is discarded (it re-arrives whole on the next
 // attempt), so a torn stream can never apply a torn group.
 func (f *Follower) streamOnce() error {
-	u := fmt.Sprintf("%s/replicate?after_seq=%d", f.cfg.Leader, f.appliedSeq.Load())
+	u := fmt.Sprintf("%s/v1/replicate?after_seq=%d", f.cfg.Leader, f.appliedSeq.Load())
 	if e := f.epoch.Load(); e > 0 {
 		u += "&epoch=" + strconv.FormatUint(e, 10)
 	}
@@ -237,28 +238,16 @@ func (f *Follower) streamOnce() error {
 		return fmt.Errorf("replica: stream: %s", resp.Status)
 	}
 
-	var buf []byte
-	chunk := make([]byte, 64<<10)
+	rd := frame.NewReader(resp.Body, checkStream)
 	for {
-		n, err := resp.Body.Read(chunk)
-		if n > 0 {
-			buf = append(buf, chunk[:n]...)
-			for len(buf) > 0 {
-				fr, consumed, err := DecodeFrame(buf)
-				if errors.Is(err, ErrShortFrame) {
-					break // torn read; complete it with the next chunk
-				}
-				if err != nil {
-					return err // corruption: drop the stream, re-request
-				}
-				if err := f.handleFrame(fr); err != nil {
-					return err
-				}
-				buf = buf[consumed:]
-			}
-		}
+		kind, payload, err := rd.Next()
 		if err != nil {
-			return err // io.EOF and friends: reconnect from appliedSeq
+			// Corruption, a torn final frame or the connection's end:
+			// drop the stream and re-request from appliedSeq.
+			return err
+		}
+		if err := f.handleFrame(parseFrame(kind, payload)); err != nil {
+			return err
 		}
 	}
 }
@@ -280,13 +269,16 @@ func (f *Follower) handleFrame(fr Frame) error {
 		f.st.Counters().ReplicaFencedFrames.Add(1)
 		return fatalErr{fmt.Errorf("replica: frame from epoch %d, fenced at %d", fr.Epoch, e)}
 	}
+	// Advance the leader watermark before applying: the frame's records
+	// are at or below its LeaderSeq, so applyRecord sees a non-negative
+	// lag for each of them.
+	if s := fr.LeaderSeq; s > f.leaderSeq.Load() {
+		f.leaderSeq.Store(s)
+	}
 	if fr.Kind == FrameRecords {
 		if err := wal.DecodeRecords(fr.Records, f.applyRecord); err != nil {
 			return err
 		}
-	}
-	if s := fr.LeaderSeq; s > f.leaderSeq.Load() {
-		f.leaderSeq.Store(s)
 	}
 	if f.appliedSeq.Load() >= f.leaderSeq.Load() {
 		f.caughtUpAt.Store(time.Now().UnixNano())

@@ -95,7 +95,8 @@ func leaderHTTP(t testing.TB, st *serve.Store, dir string) (*httptest.Server, *S
 	t.Helper()
 	srv := fastServer(st, dir, func() uint64 { return 1 })
 	mux := http.NewServeMux()
-	srv.Register(mux)
+	mux.HandleFunc("GET /v1/replicate", srv.ServeStream)
+	mux.HandleFunc("GET /v1/replicate/checkpoint", srv.ServeCheckpoint)
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
 	return hs, srv
@@ -261,6 +262,28 @@ func TestFollowerBitIdenticalToLeader(t *testing.T) {
 	}
 }
 
+// Every applied record lands in the apply-lag histogram: the follower
+// advances its leader watermark before applying a records frame, so no
+// record sees a negative lag and is skipped.
+func TestFollowerApplyLagHistogramCountsEveryRecord(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	leader := newLeader(t, ldir, 1, 4)
+	hs, _ := leaderHTTP(t, leader, ldir)
+	fl := startFollower(t, hs.URL, fdir, followerCfg(4))
+
+	randomHistory(t, leader, 7, 6)
+	waitApplied(t, fl, leader.JournalSeq())
+	// applyRecord bumps the counter and records the lag just after it
+	// publishes appliedSeq, so give the last record a moment to land.
+	applied := &fl.Store().Counters().ReplicaRecordsApplied
+	waitFor(t, 5*time.Second, "apply-lag histogram count to equal ReplicaRecordsApplied", func() bool {
+		return fl.lagHist.Snapshot().Count == applied.Load()
+	})
+	if applied.Load() == 0 {
+		t.Fatal("no records applied")
+	}
+}
+
 // limitedWriter cuts the response after budget bytes — a torn stream
 // frame mid-flight, the network fault the re-request path must absorb.
 type limitedWriter struct {
@@ -296,8 +319,8 @@ func TestFollowerResumesAfterTornStream(t *testing.T) {
 
 	var attempts atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /replicate/checkpoint", srv.ServeCheckpoint)
-	mux.HandleFunc("GET /replicate", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/replicate/checkpoint", srv.ServeCheckpoint)
+	mux.HandleFunc("GET /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
 		a := attempts.Add(1)
 		if a <= 4 {
 			// Grow the budget per attempt so each connection makes some
@@ -382,7 +405,7 @@ func TestPromoteFencesDeposedLeader(t *testing.T) {
 		t.Fatalf("second Promote = %+v,%v want %+v", again, err, ep)
 	}
 	// Stream handshake fencing on the leader side: a stale epoch is 409.
-	resp, err := http.Get(hs.URL + "/replicate?after_seq=0&epoch=99")
+	resp, err := http.Get(hs.URL + "/v1/replicate?after_seq=0&epoch=99")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +424,8 @@ func TestFollowerCrashResumesFromOwnCheckpoint(t *testing.T) {
 
 	var ckptFetches atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /replicate", srv.ServeStream)
-	mux.HandleFunc("GET /replicate/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/replicate", srv.ServeStream)
+	mux.HandleFunc("GET /v1/replicate/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		ckptFetches.Add(1)
 		srv.ServeCheckpoint(w, r)
 	})

@@ -8,10 +8,10 @@
 // full read-write coordinator.
 //
 // The wire protocol carries the journal's on-disk frames verbatim inside
-// stream frames of its own:
+// stream frames (internal/frame defines the framing and its CRC) whose
+// payload is
 //
-//	u8 kind | u32 payload len | u32 CRC-32C(payload) | payload
-//	payload = u64 epoch | u64 leaderSeq | [records: raw WAL frames]
+//	u64 epoch | u64 leaderSeq | [records: raw WAL frames]
 //
 // kinds: handshake (1, opens every stream), records (2, one or more
 // journal frames in sequence order), heartbeat (3, keeps the staleness
@@ -23,9 +23,9 @@ package replica
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/frame"
 )
 
 // Stream frame kinds.
@@ -40,18 +40,7 @@ const (
 	FrameHeartbeat byte = 3
 )
 
-const (
-	frameHeader  = 9  // u8 kind + u32 len + u32 crc
-	frameFixed   = 16 // u64 epoch + u64 leaderSeq
-	maxFrameSize = 1 << 28
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrShortFrame reports that a buffer holds only a prefix of a frame:
-// read more bytes and retry. Every other decode error is corruption (or a
-// version skew) and must drop the connection.
-var ErrShortFrame = errors.New("replica: short frame")
+const frameFixed = 16 // u64 epoch + u64 leaderSeq
 
 // Frame is one decoded replication stream frame.
 type Frame struct {
@@ -61,45 +50,43 @@ type Frame struct {
 	Records   []byte // FrameRecords only: concatenated raw journal frames
 }
 
+// checkStream is the replication stream's frame.Rule: records frames
+// carry at least one byte past the fixed fields, control frames exactly
+// the fixed fields.
+func checkStream(kind byte, n int) error {
+	switch {
+	case kind < FrameHandshake || kind > FrameHeartbeat:
+		return fmt.Errorf("replica: unknown frame kind %d", kind)
+	case kind == FrameRecords && n <= frameFixed:
+		return fmt.Errorf("replica: %d-byte payload on records frame", n)
+	case kind != FrameRecords && n != frameFixed:
+		return fmt.Errorf("replica: %d-byte payload on control frame kind %d", n, kind)
+	}
+	return nil
+}
+
 // AppendFrame encodes f onto dst and returns the extended slice.
 func AppendFrame(dst []byte, f Frame) []byte {
-	start := len(dst)
-	dst = append(dst, f.Kind, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint64(dst, f.Epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, f.LeaderSeq)
-	dst = append(dst, f.Records...)
-	payload := dst[start+frameHeader:]
-	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+5:], crc32.Checksum(payload, crcTable))
-	return dst
+	var fixed [frameFixed]byte
+	binary.LittleEndian.PutUint64(fixed[:], f.Epoch)
+	binary.LittleEndian.PutUint64(fixed[8:], f.LeaderSeq)
+	return frame.Append(dst, f.Kind, fixed[:], f.Records)
 }
 
 // DecodeFrame parses one frame from the front of b, returning it and the
-// number of bytes consumed. ErrShortFrame means b ends mid-frame (a torn
-// read — wait for more bytes); any other error means the bytes can never
-// parse and the stream must be abandoned. Records aliases b.
+// number of bytes consumed. frame.ErrShort means b ends mid-frame (a
+// torn read — wait for more bytes); any other error means the bytes can
+// never parse and the stream must be abandoned. Records aliases b.
 func DecodeFrame(b []byte) (Frame, int, error) {
-	if len(b) < frameHeader {
-		return Frame{}, 0, ErrShortFrame
+	kind, payload, n, err := frame.Decode(b, checkStream)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	kind := b[0]
-	if kind < FrameHandshake || kind > FrameHeartbeat {
-		return Frame{}, 0, fmt.Errorf("replica: unknown frame kind %d", kind)
-	}
-	n := int(binary.LittleEndian.Uint32(b[1:]))
-	if n < frameFixed || n > maxFrameSize {
-		return Frame{}, 0, fmt.Errorf("replica: frame payload of %d bytes", n)
-	}
-	if kind != FrameRecords && n != frameFixed {
-		return Frame{}, 0, fmt.Errorf("replica: %d-byte payload on control frame kind %d", n, kind)
-	}
-	if len(b) < frameHeader+n {
-		return Frame{}, 0, ErrShortFrame
-	}
-	payload := b[frameHeader : frameHeader+n]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[5:]) {
-		return Frame{}, 0, errors.New("replica: frame fails CRC")
-	}
+	return parseFrame(kind, payload), n, nil
+}
+
+// parseFrame splits a payload that passed checkStream into its fields.
+func parseFrame(kind byte, payload []byte) Frame {
 	f := Frame{
 		Kind:      kind,
 		Epoch:     binary.LittleEndian.Uint64(payload),
@@ -107,9 +94,6 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	}
 	if kind == FrameRecords {
 		f.Records = payload[frameFixed:]
-		if len(f.Records) == 0 {
-			return Frame{}, 0, errors.New("replica: empty records frame")
-		}
 	}
-	return f, frameHeader + n, nil
+	return f
 }

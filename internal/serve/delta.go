@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/graph"
 )
 
@@ -98,7 +99,7 @@ func (d *Delta) RunVertices() int {
 }
 
 // Delta payload layout (little-endian; framing/CRC belongs to the
-// transport — internal/api's watch frames and internal/wal's delta
+// transport — /v1/watch frames (frame.go) and internal/wal's delta
 // checkpoint files both wrap this payload):
 //
 //	u16 version | u64 seq | u64 epoch | u64 gen | u32 k | u32 n
@@ -262,7 +263,7 @@ type FramedDelta struct {
 
 // Payload returns the EncodeDelta bytes inside Frame (aliased, not
 // copied).
-func (f *FramedDelta) Payload() []byte { return f.Frame[watchHeader:] }
+func (f *FramedDelta) Payload() []byte { return f.Frame[frame.HeaderSize:] }
 
 // Elapsed returns the time since the delta was published — the fan-out
 // delivery latency when sampled right after writing Frame to a stream.
@@ -326,13 +327,6 @@ type deltaHub struct {
 	// ring swap, and by subscribe/unsubscribe on stream open/close.
 	subMu sync.Mutex
 	subs  map[*DeltaSub]struct{}
-
-	// notify is the legacy close-and-replace broadcast channel, kept for
-	// DeltaNotify. Allocated lazily on first waitCh so stores whose
-	// watchers all use DeltaSub never pay the per-publication channel
-	// churn.
-	notifyMu sync.Mutex
-	notify   chan struct{}
 }
 
 func newDeltaHub(max int) *deltaHub {
@@ -349,9 +343,9 @@ func (h *deltaHub) publish(d *Delta) {
 	d.Seq = h.next.Load()
 	payload := EncodeDelta(d)
 	h.encodes.Add(1)
-	frame := make([]byte, 0, watchHeader+len(payload))
-	frame = AppendWatchFrame(frame, WatchFrame{Kind: WatchDelta, Delta: payload})
-	entry := FramedDelta{Delta: d, Frame: frame, pub: time.Since(hubEpoch)}
+	fr := make([]byte, 0, frame.HeaderSize+len(payload))
+	fr = AppendWatchFrame(fr, WatchFrame{Kind: WatchDelta, Delta: payload})
+	entry := FramedDelta{Delta: d, Frame: fr, pub: time.Since(hubEpoch)}
 	var keep []FramedDelta
 	if old := h.ring.Load(); old != nil {
 		keep = old.entries
@@ -369,13 +363,6 @@ func (h *deltaHub) publish(d *Delta) {
 	h.ring.Store(&deltaRing{entries: append(keep, entry)})
 	h.next.Add(1)
 	h.mu.Unlock()
-
-	h.notifyMu.Lock()
-	if h.notify != nil {
-		close(h.notify)
-		h.notify = nil
-	}
-	h.notifyMu.Unlock()
 
 	h.subMu.Lock()
 	for sub := range h.subs {
@@ -439,19 +426,6 @@ func (h *deltaHub) since(after uint64, max int) (ds []*Delta, floor uint64) {
 	return ds, floor
 }
 
-// waitCh returns a channel closed by the next publication — the legacy
-// single-channel broadcast. Each publication closes and discards it, so
-// every parked waiter wakes and re-calls waitCh (a thundering herd at
-// scale); high-fan-out consumers should use subscribe instead.
-func (h *deltaHub) waitCh() <-chan struct{} {
-	h.notifyMu.Lock()
-	defer h.notifyMu.Unlock()
-	if h.notify == nil {
-		h.notify = make(chan struct{})
-	}
-	return h.notify
-}
-
 // subscribe registers a coalesced-wakeup subscriber.
 func (h *deltaHub) subscribe() *DeltaSub {
 	sub := &DeltaSub{hub: h, c: make(chan struct{}, 1)}
@@ -502,16 +476,9 @@ func (s *Store) FramedDeltasSince(after uint64, max int) ([]FramedDelta, uint64)
 }
 
 // SubscribeDeltas registers a publication subscriber with a coalesced
-// single-slot wakeup channel — the scalable watch-stream hook (the
-// legacy DeltaNotify channel wakes every waiter on every publication).
-// Callers must Cancel when done.
+// single-slot wakeup channel: a subscriber that fell behind wakes once
+// and drains the ring. Callers must Cancel when done.
 func (s *Store) SubscribeDeltas() *DeltaSub { return s.deltas.subscribe() }
-
-// DeltaNotify returns a channel closed by the next delta publication —
-// the legacy long-poll hook. Prefer SubscribeDeltas for long-lived
-// streams: this channel is re-allocated per publication and wakes all
-// waiters at once.
-func (s *Store) DeltaNotify() <-chan struct{} { return s.deltas.waitCh() }
 
 // emitBaselineDelta publishes the full-state delta every store starts its
 // feed with. Called before the goroutines start (construction/recovery),

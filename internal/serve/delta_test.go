@@ -44,20 +44,6 @@ func TestDeltaHubPublishCompactionAndBounds(t *testing.T) {
 	if ds, _ := h.since(10, 0); len(ds) != 0 {
 		t.Fatalf("since(10) = %v, want empty", ds)
 	}
-
-	// notify fires on publish.
-	ch := h.waitCh()
-	select {
-	case <-ch:
-		t.Fatal("notify closed before publish")
-	default:
-	}
-	h.publish(&Delta{})
-	select {
-	case <-ch:
-	default:
-		t.Fatal("notify not closed by publish")
-	}
 }
 
 // The tentpole invariant of the encode-once fan-out: the hub encodes

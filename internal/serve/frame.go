@@ -1,9 +1,8 @@
 package serve
 
-// The /v1/watch wire format reuses the CRC frame discipline of the
-// replication stream (internal/replica): every frame is
-//
-//	u8 kind | u32 payload len | u32 CRC-32C(payload) | payload
+// The /v1/watch wire format: internal/frame defines the framing (kind,
+// payload length, CRC-32C) shared with the replication stream; this file
+// defines the watch kinds and payloads.
 //
 // kinds: handshake (1, opens every stream), delta (2, one encoded
 // serve.Delta — see EncodeDelta), heartbeat (3, keeps an idle
@@ -15,16 +14,18 @@ package serve
 // up" (cursor == next-1) from "falling toward the floor" without a
 // second request.
 //
-// The codec lives in serve (not internal/api, which re-exports it) so
-// the delta hub can memoize fully framed bytes at publish time: framing
-// is deterministic, so one AppendWatchFrame per publication serves
-// every watch stream with the byte-identical frame.
+// The codec lives in serve so the delta hub can memoize fully framed
+// bytes at publish time: framing is deterministic, so one
+// AppendWatchFrame per publication serves every watch stream with the
+// byte-identical frame.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
+
+	"repro/internal/frame"
 )
 
 // Watch stream frame kinds.
@@ -43,18 +44,7 @@ const (
 	WatchEnd byte = 4
 )
 
-const (
-	watchHeader   = 9  // u8 kind + u32 len + u32 crc
-	watchFixed    = 16 // u64 floor + u64 next
-	maxWatchFrame = 1 << 28
-)
-
-var watchCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrShortFrame reports that a buffer holds only a prefix of a frame:
-// read more bytes and retry. Every other decode error is corruption (or
-// a version skew) and must drop the connection.
-var ErrShortFrame = errors.New("serve: short watch frame")
+const watchFixed = 16 // u64 floor + u64 next
 
 // WatchFrame is one decoded /v1/watch stream frame.
 type WatchFrame struct {
@@ -64,57 +54,73 @@ type WatchFrame struct {
 	Delta []byte // WatchDelta only: EncodeDelta payload
 }
 
+// checkWatch is the watch stream's frame.Rule: delta frames carry a
+// non-empty payload, control frames exactly floor and next.
+func checkWatch(kind byte, n int) error {
+	switch {
+	case kind < WatchHandshake || kind > WatchEnd:
+		return fmt.Errorf("serve: unknown watch frame kind %d", kind)
+	case kind == WatchDelta && n == 0:
+		return errors.New("serve: empty delta frame")
+	case kind != WatchDelta && n != watchFixed:
+		return fmt.Errorf("serve: %d-byte payload on control frame kind %d", n, kind)
+	}
+	return nil
+}
+
 // AppendWatchFrame encodes f onto dst and returns the extended slice.
 func AppendWatchFrame(dst []byte, f WatchFrame) []byte {
-	start := len(dst)
-	dst = append(dst, f.Kind, 0, 0, 0, 0, 0, 0, 0, 0)
 	if f.Kind == WatchDelta {
-		dst = append(dst, f.Delta...)
-	} else {
-		dst = binary.LittleEndian.AppendUint64(dst, f.Floor)
-		dst = binary.LittleEndian.AppendUint64(dst, f.Next)
+		return frame.Append(dst, f.Kind, f.Delta)
 	}
-	payload := dst[start+watchHeader:]
-	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+5:], crc32.Checksum(payload, watchCRC))
-	return dst
+	var fixed [watchFixed]byte
+	binary.LittleEndian.PutUint64(fixed[:], f.Floor)
+	binary.LittleEndian.PutUint64(fixed[8:], f.Next)
+	return frame.Append(dst, f.Kind, fixed[:])
 }
 
 // DecodeWatchFrame parses one frame from the front of b, returning it
-// and the number of bytes consumed. ErrShortFrame means b ends mid-frame
-// (a torn read — wait for more bytes); any other error means the bytes
-// can never parse and the stream must be abandoned. Delta aliases b.
+// and the number of bytes consumed. frame.ErrShort means b ends
+// mid-frame (a torn read — wait for more bytes); any other error means
+// the bytes can never parse and the stream must be abandoned. Delta
+// aliases b.
 func DecodeWatchFrame(b []byte) (WatchFrame, int, error) {
-	if len(b) < watchHeader {
-		return WatchFrame{}, 0, ErrShortFrame
+	kind, payload, n, err := frame.Decode(b, checkWatch)
+	if err != nil {
+		return WatchFrame{}, 0, err
 	}
-	kind := b[0]
-	if kind < WatchHandshake || kind > WatchEnd {
-		return WatchFrame{}, 0, fmt.Errorf("serve: unknown watch frame kind %d", kind)
-	}
-	n := int(binary.LittleEndian.Uint32(b[1:]))
-	if n < 0 || n > maxWatchFrame {
-		return WatchFrame{}, 0, fmt.Errorf("serve: watch frame payload of %d bytes", n)
-	}
-	if kind != WatchDelta && n != watchFixed {
-		return WatchFrame{}, 0, fmt.Errorf("serve: %d-byte payload on control frame kind %d", n, kind)
-	}
-	if len(b) < watchHeader+n {
-		return WatchFrame{}, 0, ErrShortFrame
-	}
-	payload := b[watchHeader : watchHeader+n]
-	if crc32.Checksum(payload, watchCRC) != binary.LittleEndian.Uint32(b[5:]) {
-		return WatchFrame{}, 0, errors.New("serve: watch frame fails CRC")
-	}
-	f := WatchFrame{Kind: kind}
+	return parseWatchFrame(kind, payload), n, nil
+}
+
+// parseWatchFrame splits a payload that passed checkWatch into its
+// fields.
+func parseWatchFrame(kind byte, payload []byte) WatchFrame {
 	if kind == WatchDelta {
-		if n == 0 {
-			return WatchFrame{}, 0, errors.New("serve: empty delta frame")
-		}
-		f.Delta = payload
-	} else {
-		f.Floor = binary.LittleEndian.Uint64(payload)
-		f.Next = binary.LittleEndian.Uint64(payload[8:])
+		return WatchFrame{Kind: kind, Delta: payload}
 	}
-	return f, watchHeader + n, nil
+	return WatchFrame{
+		Kind:  kind,
+		Floor: binary.LittleEndian.Uint64(payload),
+		Next:  binary.LittleEndian.Uint64(payload[8:]),
+	}
+}
+
+// WatchReader yields whole /v1/watch frames from a stream.
+type WatchReader struct{ r *frame.Reader }
+
+// NewWatchReader returns a WatchReader over a /v1/watch response body.
+func NewWatchReader(r io.Reader) *WatchReader {
+	return &WatchReader{r: frame.NewReader(r, checkWatch)}
+}
+
+// Next blocks for the next frame. Delta aliases the reader's buffer and
+// is valid until the next call. Errors follow frame.Reader.Next: io.EOF
+// for a stream that ended between frames, io.ErrUnexpectedEOF for one
+// that ended mid-frame, and a decode error for corrupt bytes.
+func (r *WatchReader) Next() (WatchFrame, error) {
+	kind, payload, err := r.r.Next()
+	if err != nil {
+		return WatchFrame{}, err
+	}
+	return parseWatchFrame(kind, payload), nil
 }

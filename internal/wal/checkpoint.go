@@ -35,25 +35,32 @@ func ckptName(seq uint64) string {
 // WriteCheckpoint atomically installs a checkpoint covering journal
 // sequence seq with the given payload.
 func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ckptPrefix+"*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], seq)
 	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(payload, crcTable))
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
+	return WriteFileAtomic(dir, ckptName(seq), hdr[:], payload)
+}
+
+// WriteFileAtomic installs dir/name holding the concatenation of parts:
+// it writes a temp file in dir, fsyncs it, renames it over name and
+// fsyncs dir, so after a crash name holds either its old content or the
+// new content in full, and a completed call survives power loss. dir is
+// created if missing; the temp file is removed on any failure.
+func WriteFileAtomic(dir, name string, parts ...[]byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
+	tmp, err := os.CreateTemp(dir, name+".*.tmp")
+	if err != nil {
 		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -62,7 +69,7 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ckptName(seq))); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return err
 	}
 	return syncDir(dir)

@@ -37,38 +37,12 @@ func dckpName(seq uint64) string {
 // WriteDeltaCheckpoint atomically installs a delta checkpoint covering
 // journal sequence seq, chained onto the encoding at prevSeq.
 func WriteDeltaCheckpoint(dir string, seq, prevSeq uint64, payload []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ckptPrefix+"*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	var hdr [dckpHdr]byte
 	binary.LittleEndian.PutUint32(hdr[0:], dckpMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], seq)
 	binary.LittleEndian.PutUint64(hdr[12:], prevSeq)
 	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(payload, crcTable))
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, dckpName(seq))); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return WriteFileAtomic(dir, dckpName(seq), hdr[:], payload)
 }
 
 // ReadDeltaCheckpoint loads and verifies the delta checkpoint covering

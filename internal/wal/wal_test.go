@@ -636,3 +636,38 @@ func TestCheckpointLifecycle(t *testing.T) {
 		t.Fatalf("after prune: %v", seqs)
 	}
 }
+
+// WriteFileAtomic installs the concatenated parts under name, replaces an
+// existing file whole, and leaves no temp file behind when the install
+// fails.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sub")
+	for _, want := range []string{"abcd", "xyz"} {
+		if err := WriteFileAtomic(dir, "rec", []byte(want[:2]), nil, []byte(want[2:])); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, "rec")); err != nil || string(got) != want {
+			t.Fatalf("rec = %q, err %v; want %q", got, err, want)
+		}
+	}
+
+	// A non-empty directory in the way makes the rename fail.
+	if err := os.MkdirAll(filepath.Join(dir, "blocked", "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(dir, "blocked", []byte("lost")); err == nil {
+		t.Fatal("install over a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Fatalf("temp file %s left after a failed install", e.Name())
+		}
+	}
+	if len(entries) != 2 {
+		t.Fatalf("dir holds %d entries, want rec and blocked", len(entries))
+	}
+}

@@ -39,7 +39,7 @@ CTL="$BINDIR/spinnerctl -addr $BASE"
 
 wait_healthy() {
   for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   echo "spinnerd never became healthy" >&2
@@ -117,9 +117,9 @@ done
 echo "   counters monotonic"
 
 echo "== /v1/stats latency section"
-curl -fsS "$BASE/stats" | grep -q '"latency"' \
+curl -fsS "$BASE/v1/stats" | grep -q '"latency"' \
   || { echo "FAIL: stats missing latency section" >&2; exit 1; }
-curl -fsS "$BASE/stats" | grep -q '"stage:apply"' \
+curl -fsS "$BASE/v1/stats" | grep -q '"stage:apply"' \
   || { echo "FAIL: stats latency missing stage:apply" >&2; exit 1; }
 echo "   latency quantiles present"
 

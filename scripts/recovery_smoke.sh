@@ -10,7 +10,7 @@
 # is atomic, so an interrupted checkpoint simply never appears — and a
 # torn temp file is left in the checkpoint directory. A second spinnerd
 # over the same data dir must recover (previous checkpoint + LONGER
-# journal tail replay, temp file ignored), answer /healthz, report zero
+# journal tail replay, temp file ignored), answer /v1/healthz, report zero
 # cut drift from the post-recovery exact reconcile, and resolve every
 # sampled vertex to a valid partition — identical to the pre-crash
 # answer for the quiesced prefix.
@@ -35,7 +35,7 @@ go build -o "$BIN" ./cmd/spinnerd
 
 wait_healthy() {
   for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   echo "spinnerd never became healthy" >&2
@@ -43,7 +43,7 @@ wait_healthy() {
 }
 
 stat_field() { # stat_field <jq-ish key> — crude JSON number extraction, no jq dependency
-  curl -fsS "$BASE/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
+  curl -fsS "$BASE/v1/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
 }
 
 echo "== boot durable spinnerd (fsync=never, checkpoint-every=4, keep-checkpoints=2)"
@@ -66,7 +66,7 @@ for i in $(seq 1 24); do
     [ "$u" -eq "$v" ] && v=$(( (v + 1) % 2000 ))
     body+="+ $u $v 2"$'\n'
   done
-  curl -fsS -X POST --data-binary "$body" "$BASE/mutate" >/dev/null
+  curl -fsS -X POST --data-binary "$body" "$BASE/v1/mutate" >/dev/null
 done
 
 # Let the store drain far enough that a checkpoint exists, then record
@@ -76,12 +76,12 @@ APPLIED_BEFORE=$(stat_field applied)
 SAMPLE="1 42 500 999 1500 1999"
 declare -A BEFORE
 for v in $SAMPLE; do
-  BEFORE[$v]=$(curl -fsS "$BASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  BEFORE[$v]=$(curl -fsS "$BASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
 done
 echo "   applied=$APPLIED_BEFORE before crash"
 
 echo "== crash: kill -9 mid-churn"
-curl -fsS -X POST --data-binary "+ 3 4 2" "$BASE/mutate" >/dev/null || true
+curl -fsS -X POST --data-binary "+ 3 4 2" "$BASE/v1/mutate" >/dev/null || true
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
@@ -89,9 +89,11 @@ PID=""
 echo "== simulate crash during an in-flight background checkpoint"
 # The newest checkpoint never finished installing (atomic rename → it
 # simply does not exist) and the writer died mid-write (leftover .tmp).
+# The newest checkpoint is usually a delta link (.dckp) chained onto one
+# full base (.ckpt); names sort by their zero-padded hex sequence.
 # Recovery must ignore the temp file, fall back to the previous retained
-# checkpoint, and replay the longer journal tail to the same answers.
-CKPTS=( "$DIR"/checkpoints/ckpt-*.ckpt )
+# encoding, and replay the longer journal tail to the same answers.
+CKPTS=( $(ls "$DIR"/checkpoints/ckpt-*.ckpt "$DIR"/checkpoints/ckpt-*.dckp 2>/dev/null | sort) )
 [ "${#CKPTS[@]}" -ge 2 ] || { echo "FAIL: need >= 2 checkpoints to lose one, have ${#CKPTS[@]}" >&2; exit 1; }
 NEWEST="${CKPTS[${#CKPTS[@]}-1]}"
 echo "   dropping $NEWEST (of ${#CKPTS[@]} checkpoints)"
@@ -123,7 +125,7 @@ echo "   vertices=$VERTICES durable=$DURABLE applied=$APPLIED_AFTER reconciles=$
 
 echo "== lookup consistency on $SAMPLE"
 for v in $SAMPLE; do
-  part=$(curl -fsS "$BASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  part=$(curl -fsS "$BASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
   if [ -z "$part" ] || [ "$part" -lt 0 ] || [ "$part" -ge 4 ]; then
     echo "FAIL: lookup($v) = '$part' out of [0,4)" >&2; exit 1
   fi
