@@ -47,7 +47,9 @@
 #                      along as extra metrics), into BENCH_pr10.json
 #   make bench-quick — CI benchmark smoke: every recorded benchmark runs
 #                      once (-benchtime=1x -count=1, no JSON write), so
-#                      compile/run breakage is caught without timing runs
+#                      compile/run breakage is caught without timing runs;
+#                      this includes BenchmarkHTTPLookup (one /v1/lookup
+#                      through the mux at n=20k and n=300k, ns/op + B/op)
 #   make recovery-smoke — kill -9 a durable spinnerd mid-churn, reopen the
 #                      data dir, assert /healthz + lookup consistency
 #                      (scripts/recovery_smoke.sh; also a CI job)
@@ -162,6 +164,7 @@ bench-quick:
 	./scripts/bench.sh -q -b 'Benchmark(CheckpointDelta|WatchFanout)' -p ./internal/serve
 	./scripts/bench.sh -q -b BenchmarkFollowerLookupStaleness -p ./internal/replica
 	./scripts/bench.sh -q -b BenchmarkHistogramRecord -p ./internal/metrics
+	./scripts/bench.sh -q -b BenchmarkHTTPLookup -p ./internal/api
 
 recovery-smoke:
 	./scripts/recovery_smoke.sh

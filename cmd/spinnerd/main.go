@@ -173,6 +173,10 @@
 //	GET  /v1/healthz       → 200 {"status":"ok"}
 //	                         503 {"status":"degraded","error":...} after a storage fault
 //	GET  /v1/lookup?v=ID   → 200 {"vertex":ID,"partition":P,"version":V,"k":K}
+//	                         (P, V and K come from the one shard snapshot the label was
+//	                         read from: V is that snapshot's publication stamp — it never
+//	                         falls for a vertex, and equal V means the same snapshot — and
+//	                         K is that snapshot's k; O(1) in the graph size)
 //	                         400 {"error":"bad vertex id"} | 404 {"error":"vertex not found"}
 //	                         503 {"error":...,"code":"stale_replica"} + Retry-After on a
 //	                         follower lagging past -max-staleness
@@ -191,8 +195,9 @@
 //	POST /v1/resize?k=K    → 202 {"queued":true,"k":K}
 //	                         400 {"error":"bad k"} | 400 {"error":"k unchanged","code":"k_unchanged"}
 //	                         503 {"error":...,"code":"overloaded"|"degraded"|"read_only"|"unavailable"}
-//	GET  /v1/stats         → 200 snapshot + serving counters (one documented JSON
-//	                         struct — see api.StatsResponse): vertices, k, version,
+//	GET  /v1/stats         → 200 label-free summary + serving counters, O(shards + k)
+//	                         (one documented JSON struct — see api.StatsResponse):
+//	                         vertices, k, version (largest shard publication stamp),
 //	                         epoch, applied, cut, cut_weight, total_weight,
 //	                         cut_by_partition, shards, durable, journal_group_depth,
 //	                         counters, degraded, overloaded, drain_rate, lookup_rate,
@@ -496,7 +501,7 @@ func run(dc daemonConfig, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(out, "spinnerd: recovered %d vertices (replayed %d journal records)\n",
-				len(st.Snapshot().Labels), st.Counters().ReplayedRecords.Load())
+				st.Summary().Vertices, st.Counters().ReplayedRecords.Load())
 		} else {
 			g, err := loadGraph()
 			if err != nil {
@@ -532,8 +537,7 @@ func run(dc daemonConfig, out io.Writer) error {
 		}
 		rep = &api.Replica{Srv: replica.NewServer(st, dc.dataDir, func() uint64 { return ep.Epoch })}
 	}
-	snap := st.Snapshot()
-	fmt.Fprintf(out, "spinnerd: serving (cut ratio %.4f)\n", snap.CutRatio)
+	fmt.Fprintf(out, "spinnerd: serving (cut ratio %.4f)\n", st.Summary().CutRatio)
 
 	if dc.demo > 0 {
 		return runDemo(st, dc.demo, dc.seed, out)
@@ -581,7 +585,7 @@ func run(dc daemonConfig, out io.Writer) error {
 // runDemo drives synthetic churn + lookups against the store and prints
 // the counters — the no-network smoke mode.
 func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error {
-	n := len(st.Snapshot().Labels)
+	n := st.Summary().Vertices // the demo adds edges only
 	src := rng.New(seed ^ 0xdeadbeef)
 	var lookups atomic.Int64
 	stop := make(chan struct{})
@@ -598,7 +602,7 @@ func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error
 			if _, ok := st.Lookup(v); ok {
 				lookups.Add(1)
 			}
-			v = (v + 13) % graph.VertexID(len(st.Snapshot().Labels))
+			v = (v + 13) % graph.VertexID(n)
 		}
 	}()
 	deadline := time.Now().Add(d)
@@ -624,13 +628,13 @@ func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error
 	}
 	fmt.Fprintf(out, "spinnerd demo: %d lookups alongside %d batches\n", lookups.Load(), batch)
 	fmt.Fprintf(out, "spinnerd demo: %v\n", st.Counters().Snapshot())
-	fmt.Fprintf(out, "spinnerd demo: final %s\n", describe(st.Snapshot()))
+	fmt.Fprintf(out, "spinnerd demo: final %s\n", describe(st.Summary()))
 	return nil
 }
 
-func describe(s *serve.Snapshot) string {
+func describe(s serve.Summary) string {
 	return fmt.Sprintf("snapshot v%d: %d vertices, k=%d, cut=%.4f, epoch=%d",
-		s.Version, len(s.Labels), s.K, s.CutRatio, s.Epoch)
+		s.Version, s.Vertices, s.K, s.CutRatio, s.Epoch)
 }
 
 // parseWeights parses the -quota-weights "tenant=weight,..." CSV.

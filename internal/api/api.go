@@ -124,7 +124,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
-// LookupResponse is the GET /v1/lookup?v=ID body.
+// LookupResponse is the GET /v1/lookup?v=ID body. All of it comes from
+// the one shard snapshot the label was read from: Version is that
+// snapshot's publication stamp (it never falls for a given vertex, and
+// equal versions mean the same snapshot) and K is that snapshot's k.
 type LookupResponse struct {
 	Vertex    int64  `json:"vertex"`
 	Partition int32  `json:"partition"`
@@ -168,13 +171,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	if !s.checkStaleness(w) {
 		return
 	}
-	part, ok := s.st.Lookup(graph.VertexID(v))
+	p, ok := s.st.Place(graph.VertexID(v))
 	if !ok {
 		writeError(w, http.StatusNotFound, "vertex not found")
 		return
 	}
-	snap := s.st.Snapshot()
-	writeJSON(w, http.StatusOK, LookupResponse{Vertex: v, Partition: part, Version: snap.Version, K: snap.K})
+	writeJSON(w, http.StatusOK, LookupResponse{Vertex: v, Partition: p.Partition, Version: p.Version, K: p.K})
 }
 
 // resyncFromSeq returns the watch cursor a fresh full dump pairs with:
@@ -258,7 +260,7 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, serve.ErrKUnchanged):
 			// The unchanged-k check lives inside Resize so concurrent
-			// duplicate resizes race atomically, not via a stale K().
+			// duplicate resizes race atomically, not via a stale read of k.
 			writeErrorCode(w, http.StatusBadRequest, "k_unchanged", "k unchanged", 0)
 		case errors.Is(err, serve.ErrDegraded):
 			writeErrorCode(w, http.StatusServiceUnavailable, "degraded", err.Error(), 0)
@@ -317,20 +319,20 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.st.Snapshot()
+	sum := s.st.Summary()
 	ctr := s.st.Counters().Snapshot()
 	floor, next := s.st.DeltaBounds()
 	resp := StatsResponse{
-		Vertices:          len(snap.Labels),
-		K:                 snap.K,
-		Version:           snap.Version,
-		Epoch:             snap.Epoch,
-		Applied:           snap.AppliedBatches,
-		Cut:               snap.CutRatio,
-		CutWeight:         snap.CutWeight,
-		TotalWeight:       snap.TotalWeight,
-		CutByPartition:    snap.CutByPartition,
-		Shards:            snap.Shards,
+		Vertices:          sum.Vertices,
+		K:                 sum.K,
+		Version:           sum.Version,
+		Epoch:             sum.Epoch,
+		Applied:           sum.AppliedBatches,
+		Cut:               sum.CutRatio,
+		CutWeight:         sum.CutWeight,
+		TotalWeight:       sum.TotalWeight,
+		CutByPartition:    sum.CutByPartition,
+		Shards:            sum.Shards,
 		Durable:           s.st.Durable(),
 		JournalGroupDepth: ctr.GroupCommitDepth(),
 		Counters:          ctr,

@@ -335,7 +335,7 @@ func TestResizeKUnchangedAtomic(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.K(); got != 3 {
+	if got := st.Summary().K; got != 3 {
 		t.Fatalf("K = %d after resize, want 3", got)
 	}
 	if err := st.Resize(2); err != nil {
@@ -344,7 +344,7 @@ func TestResizeKUnchangedAtomic(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.K(); got != 2 {
+	if got := st.Summary().K; got != 2 {
 		t.Fatalf("K = %d after resize back, want 2", got)
 	}
 	if got := st.ctr.ElasticResizes.Load(); got != 2 {

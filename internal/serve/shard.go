@@ -44,6 +44,12 @@ type shardEntry struct {
 // vertex lo+i. On the fast path labels never change, so successive
 // snapshots share one label slice; relabeling events publish fresh copies
 // under a barrier.
+//
+// version is the publication stamp, drawn from the store-wide pubSeq
+// counter: unique per publication and rising in publication order across
+// all shards. A vertex that moves to another shard (rebalance) is picked
+// up by a snapshot published after every old-owner snapshot that covered
+// it, so the stamp a reader sees for one vertex never falls.
 type shardSnap struct {
 	lo      int
 	labels  []int32
@@ -83,7 +89,6 @@ type shard struct {
 	lo, hi  int
 	k       int
 	epoch   uint64
-	version uint64
 	pubGen  uint64
 	cross   int64
 	total   int64
@@ -180,10 +185,9 @@ func (sh *shard) apply(e shardEntry) {
 func (sh *shard) publishDelta() {
 	prev := sh.snap.Load()
 	sh.dirty = false
-	sh.version++
 	sh.snap.Store(&shardSnap{
 		lo: sh.lo, labels: prev.labels, k: sh.k, epoch: sh.epoch,
-		version: sh.version, pubGen: sh.pubGen, cross: sh.cross, total: sh.total,
+		version: sh.st.pubSeq.Add(1), pubGen: sh.pubGen, cross: sh.cross, total: sh.total,
 		perPart: append([]int64(nil), sh.perPart...),
 	})
 	sh.st.ctr.SnapshotSwaps.Add(1)
@@ -193,12 +197,11 @@ func (sh *shard) publishDelta() {
 // barrier, after any relabeling or range change.
 func (sh *shard) publishFresh() {
 	sh.dirty = false
-	sh.version++
 	seg := make([]int32, sh.hi-sh.lo)
 	copy(seg, sh.labels[sh.lo:sh.hi])
 	sh.snap.Store(&shardSnap{
 		lo: sh.lo, labels: seg, k: sh.k, epoch: sh.epoch,
-		version: sh.version, pubGen: sh.pubGen, cross: sh.cross, total: sh.total,
+		version: sh.st.pubSeq.Add(1), pubGen: sh.pubGen, cross: sh.cross, total: sh.total,
 		perPart: append([]int64(nil), sh.perPart...),
 	})
 	sh.st.ctr.SnapshotSwaps.Add(1)

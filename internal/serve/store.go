@@ -191,23 +191,23 @@ func (c *Config) normalize() error {
 	return c.Overload.normalize()
 }
 
-// Snapshot is an immutable composed view of the partitioning. Lookups
-// resolve against exactly one per-shard snapshot; Snapshot composes all of
-// them for callers that want the global labeling and counters.
-type Snapshot struct {
-	// Labels maps vertex → partition; len(Labels) is the vertex count at
-	// publication. The slice is immutable: neither the Store nor callers
-	// may write to it.
-	Labels []int32
-	// K is the partition count this snapshot's labels live in.
+// Summary is the label-free part of the composed view: counts, k, the
+// version stamp and the cut counters, built from one sweep of the shard
+// snapshots in O(shards + k). /v1/stats and anything else that needs the
+// vertex count or the cut without the labels should use it.
+type Summary struct {
+	// Vertices is the vertex count the captured shard ranges tile.
+	Vertices int
+	// K is the partition count this view's labels live in.
 	K int
-	// Version counts snapshot publications, summed over shards
-	// (monotonically increasing).
+	// Version is the largest publication stamp among the captured shard
+	// snapshots. Every publication draws a new, higher stamp from one
+	// store-wide counter, so Version rises with each of them.
 	Version uint64
 	// AppliedBatches counts mutation batches resolved (applied or
 	// rejected) at composition time.
 	AppliedBatches uint64
-	// Epoch counts restabilization merges reflected in this snapshot.
+	// Epoch counts restabilization merges reflected in this view.
 	Epoch uint64
 	// CutRatio is CutWeight/TotalWeight: the fraction of edge weight
 	// crossing partitions (1−φ), tracked incrementally in integers.
@@ -220,6 +220,17 @@ type Snapshot struct {
 	CutByPartition []int64
 	// Shards is the shard count the view was composed from.
 	Shards int
+}
+
+// Snapshot is an immutable composed view of the partitioning: a Summary
+// plus the global label array of the same sweep. Lookups resolve against
+// exactly one per-shard snapshot (Store.Place); Snapshot composes all of
+// them for callers that want the global labeling.
+type Snapshot struct {
+	Summary
+	// Labels maps vertex → partition; len(Labels) == Vertices. The slice
+	// is immutable: neither the Store nor callers may write to it.
+	Labels []int32
 }
 
 // Lookup resolves one vertex against the composed snapshot.
@@ -269,7 +280,8 @@ type Store struct {
 	cfg    Config
 	ctr    metrics.ServeCounters
 	router atomic.Pointer[routeTable]
-	deltas *deltaHub // change-feed ring; internally synchronized
+	pubSeq atomic.Uint64 // shard publication stamps (shardSnap.version)
+	deltas *deltaHub     // change-feed ring; internally synchronized
 
 	// Observability plane (instrument.go): the named-series registry the
 	// whole process shares, the per-stage pipeline histograms, and the
@@ -446,11 +458,23 @@ func Bootstrap(g *graph.Graph, cfg Config) (*Store, error) {
 	return New(w, res.Labels, cfg)
 }
 
-// Lookup returns the partition of v in the owning shard's current
-// snapshot: one atomic load of the route table, one of the shard snapshot.
-// The second return is false when v is not (yet) visible: either never
-// created, or appended by a batch whose snapshot has not been published.
-func (s *Store) Lookup(v graph.VertexID) (int32, bool) {
+// Placement is one vertex's answer, read from a single shard snapshot:
+// the partition, and the k, epoch and version stamp of the snapshot the
+// partition came from. Partition is in [0, K); two placements with equal
+// Version came from the same snapshot.
+type Placement struct {
+	Partition int32
+	K         int
+	Epoch     uint64
+	Version   uint64
+}
+
+// Place resolves v against the owning shard's current snapshot: one
+// atomic load of the route table, one of the shard snapshot, no
+// allocation. The second return is false when v is not (yet) visible:
+// either never created, or appended by a batch whose snapshot has not been
+// published.
+func (s *Store) Place(v graph.VertexID) (Placement, bool) {
 	// Latency sampling rides the counter every lookup already pays for:
 	// unsampled lookups add one mask compare (~1ns), sampled ones pay the
 	// two clock reads. See Config.LookupSampleEvery.
@@ -470,13 +494,14 @@ func (s *Store) Lookup(v graph.VertexID) (int32, bool) {
 			if sampled {
 				s.lookupHist.Record(time.Since(t0))
 			}
-			return -1, false
+			return Placement{Partition: -1}, false
 		}
-		if l, ok := rt.shardOf(v).snap.Load().lookup(v); ok {
+		sn := rt.shardOf(v).snap.Load()
+		if l, ok := sn.lookup(v); ok {
 			if sampled {
 				s.lookupHist.Record(time.Since(t0))
 			}
-			return l, true
+			return Placement{Partition: l, K: sn.k, Epoch: sn.epoch, Version: sn.version}, true
 		}
 		// The router says v exists but the routed snapshot does not cover
 		// it: the sweep raced a boundary republication (growth or
@@ -486,15 +511,19 @@ func (s *Store) Lookup(v graph.VertexID) (int32, bool) {
 	}
 }
 
-// Snapshot composes the per-shard snapshots into one immutable global
-// view. A sweep that interleaves with a boundary republication (growth or
-// rebalance, both rare) can catch shards from different layouts; the
-// sweep retries until the captured ranges tile the vertex space exactly,
-// so the composed labels have no gaps or overlaps and every edge is
-// counted by exactly one owner. Each composition allocates; lookups
-// should use Lookup, which resolves against a single shard without
-// composing.
-func (s *Store) Snapshot() *Snapshot {
+// Lookup returns the partition of v; see Place.
+func (s *Store) Lookup(v graph.VertexID) (int32, bool) {
+	p, ok := s.Place(v)
+	return p.Partition, ok
+}
+
+// sweep captures one publication round of shard snapshots and summarizes
+// it. A sweep that interleaves with a boundary republication (growth or
+// rebalance, both rare) can catch shards from different layouts; it
+// retries until the captured ranges tile the vertex space exactly, so the
+// labels they hold have no gaps or overlaps and every edge is counted by
+// exactly one owner.
+func (s *Store) sweep() ([]*shardSnap, Summary) {
 	rt := s.router.Load()
 	snaps := make([]*shardSnap, len(rt.shards))
 	for {
@@ -518,60 +547,45 @@ func (s *Store) Snapshot() *Snapshot {
 		// Mid-republication; the coordinator finishes in straight-line
 		// code, so a re-sweep converges promptly.
 	}
-	k := 1
-	var version, epoch uint64
-	var cross, total int64
-	maxEnd := 0
+	sum := Summary{K: 1, AppliedBatches: uint64(s.applied.Load()), Shards: len(rt.shards)}
 	for _, sn := range snaps {
-		if end := sn.lo + len(sn.labels); end > maxEnd {
-			maxEnd = end
-		}
-		if sn.k > k {
-			k = sn.k
-		}
-		if sn.epoch > epoch {
-			epoch = sn.epoch
-		}
-		version += sn.version
-		cross += sn.cross
-		total += sn.total
+		sum.Vertices = max(sum.Vertices, sn.lo+len(sn.labels))
+		sum.K = max(sum.K, sn.k)
+		sum.Epoch = max(sum.Epoch, sn.epoch)
+		sum.Version = max(sum.Version, sn.version)
+		sum.CutWeight += sn.cross
+		sum.TotalWeight += sn.total
 	}
-	labels := make([]int32, maxEnd)
-	perPart := make([]int64, k)
+	sum.CutRatio = cutRatio(sum.CutWeight, sum.TotalWeight)
+	sum.CutByPartition = make([]int64, sum.K)
 	for _, sn := range snaps {
-		copy(labels[sn.lo:], sn.labels)
 		for l, wgt := range sn.perPart {
-			if l < k {
-				perPart[l] += wgt
+			if l < sum.K {
+				sum.CutByPartition[l] += wgt
 			}
 		}
 	}
-	return &Snapshot{
-		Labels:         labels,
-		K:              k,
-		Version:        version,
-		AppliedBatches: uint64(s.applied.Load()),
-		Epoch:          epoch,
-		CutRatio:       cutRatio(cross, total),
-		CutWeight:      cross,
-		TotalWeight:    total,
-		CutByPartition: perPart,
-		Shards:         len(rt.shards),
-	}
+	return snaps, sum
 }
 
-// K returns the current partition count without composing a full
-// snapshot: O(shards) atomic loads, no label copying. During an elastic
-// transition it reports the larger of the two k-spaces, matching the
-// composed Snapshot.K.
-func (s *Store) K() int {
-	k := 1
-	for _, sh := range s.router.Load().shards {
-		if sn := sh.snap.Load(); sn.k > k {
-			k = sn.k
-		}
+// Summary returns the label-free view of one publication round in
+// O(shards + k): no label is copied.
+func (s *Store) Summary() Summary {
+	_, sum := s.sweep()
+	return sum
+}
+
+// Snapshot composes the per-shard snapshots of one publication round into
+// one immutable global view, copying every label: O(n) time and memory.
+// It is for the full-resync dump and for tools; per-request paths use
+// Place (one vertex) or Summary (counts and cut counters).
+func (s *Store) Snapshot() *Snapshot {
+	snaps, sum := s.sweep()
+	labels := make([]int32, sum.Vertices)
+	for _, sn := range snaps {
+		copy(labels[sn.lo:], sn.labels)
 	}
-	return k
+	return &Snapshot{Summary: sum, Labels: labels}
 }
 
 // Counters exposes the serving metrics.
