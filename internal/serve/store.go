@@ -16,6 +16,8 @@
 //     through one atomic pointer and the target shard's immutable snapshot
 //     through another. No locks, no contention with writers; a published
 //     snapshot is never mutated, so readers hold it as long as they like.
+//     The partition, k and version stamp of one answer all come from that
+//     one snapshot (Place).
 //   - Write plane: graph.Mutation batches enter a bounded mutation log (a
 //     buffered channel). Submit blocks for backpressure, TrySubmit fails
 //     fast with ErrLogFull. The coordinator runs a staged commit pipeline:
